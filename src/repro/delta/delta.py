@@ -55,12 +55,17 @@ def _edge_array(entries: object, label: str, with_values: bool):
                 f"{label}[{i}] must be [row, col]"
                 + (" or [row, col, value]" if with_values else "")
             )
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in entry[:2]):
+            # a float index would truncate, a bool would pass as 0/1
+            raise DeltaError(f"{label}[{i}] is not numeric: indices must "
+                             "be integers")
         try:
-            rows[i] = int(entry[0])
-            cols[i] = int(entry[1])
+            rows[i] = entry[0]
+            cols[i] = entry[1]
             if with_values and len(entry) == 3:
                 values[i] = float(entry[2])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DeltaError(f"{label}[{i}] is not numeric: {exc}") from None
     return (rows, cols, values) if with_values else (rows, cols)
 

@@ -23,9 +23,10 @@ fallback (conservative, always correct)
     fallback *reason* travels back to the daemon for the
     ``repro_delta_fallback_total`` metric family.
 
-Reuse states live in a worker-local LRU keyed by the matrix spec and
-line size.  The pool's fork workers are long-lived, so a chain of deltas
-against the same base keeps hitting the state of its immediate prefix —
+Reuse states live in a worker-local LRU keyed by the matrix spec (the
+base pattern's fingerprint plus the batches) and line size.  The pool's
+fork workers are long-lived, so a chain of deltas against the same base
+keeps hitting the state of its immediate prefix —
 ``"state": "warm"`` in the metadata — and only a cold worker pays one
 full capture of the prefix pattern.
 """
@@ -80,16 +81,6 @@ def chain_drift(spec: dict, base_nnz: int) -> float:
     return chain_edits(spec) / max(base_nnz, 1)
 
 
-def _materialize_chain(setup_fields: dict, spec: dict) -> CSRMatrix:
-    """Apply a batch chain to the base pattern (validating every batch)."""
-    from ..service.protocol import matrix_from_task, matrix_name
-
-    matrix = matrix_from_task({"matrix": spec["base"], "setup": setup_fields})
-    for batch in spec["batches"]:
-        matrix = MatrixDelta.from_dict(batch).apply(matrix).matrix
-    return replace(matrix, name=matrix_name({"matrix": spec}))
-
-
 def _patched_state(
     task: dict, spec: dict, line_size: int, budget: int
 ) -> tuple[CSRMatrix, ReuseState, str]:
@@ -122,12 +113,7 @@ def _patched_state(
         prefix_matrix, prefix_state = cached
         source = "warm"
     else:
-        if len(batches) == 1:
-            prefix_matrix = matrix_from_task(
-                {"matrix": spec["base"], "setup": task["setup"]}
-            )
-        else:
-            prefix_matrix = _materialize_chain(task["setup"], prefix_spec)
+        prefix_matrix = matrix_from_task({**task, "matrix": prefix_spec})
         prefix_state = full_reuse_state(prefix_matrix, line_size)
         _cache_put(prefix_key, prefix_matrix, prefix_state)
         source = "cold"

@@ -236,11 +236,7 @@ def dims_from_task(task: dict, machine: A64FX) -> MatrixDims:
             nnz += len(batch.get("inserts", ())) - len(batch.get("deletes", ()))
         return MatrixDims(base.num_rows, base.num_cols, max(nnz, 0))
     if spec["kind"] == "csr":
-        rowptr = spec["rowptr"]
-        nnz = int(rowptr[-1]) if rowptr else 0
-        return MatrixDims(spec["num_rows"], spec["num_cols"], nnz)
-    if spec["kind"] == "coo":
-        return MatrixDims(spec["num_rows"], spec["num_cols"], len(spec["rows"]))
+        return MatrixDims(spec["num_rows"], spec["num_cols"], spec["nnz"])
     key = (spec["collection"], task["setup"]["scale"], spec["name"])
     dims = _named_dims.get(key)
     if dims is None:

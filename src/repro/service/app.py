@@ -76,12 +76,14 @@ from .protocol import (
     DELTA_BASE_ENDPOINTS,
     ENDPOINTS,
     RequestError,
+    arrays_match,
     derive_delta_task,
     matrix_name,
     normalize_delta,
     normalize_request,
     request_key,
     setup_from_task,
+    wire_task,
 )
 from .registry import TaskRegistry
 from .worker import evaluate
@@ -435,7 +437,8 @@ class LocalityService:
         try:
             status, payload = await request_json(
                 peer["host"], peer["port"], "POST", "/cache/peek",
-                {"task": task}, timeout=self.config.peer_timeout_seconds,
+                {"task": wire_task(task)},
+                timeout=self.config.peer_timeout_seconds,
             )
         except (OSError, ValueError, ConnectionError, asyncio.TimeoutError,
                 asyncio.IncompleteReadError):
@@ -531,8 +534,9 @@ class LocalityService:
 
         The body references a base request by its cache key; the daemon
         recovers the stored task from the registry, **revalidates** it
-        (the recomputed key must match — a tampered or truncated record
-        404s/409s instead of silently patching the wrong base), derives
+        (the recomputed key must match and an inline base must carry its
+        fingerprinted arrays — a tampered or truncated record 404s/409s
+        instead of silently patching the wrong base), derives
         the edited task with the batch appended to its delta chain, and
         resolves it through the ordinary cache/coalesce/evaluate
         machinery under the *derived* key.  The derived task is
@@ -551,11 +555,12 @@ class LocalityService:
                     "full request once and retry the delta",
                     status=404,
                 )
-            if request_key(stored) != base_key:
+            if request_key(stored) != base_key or not arrays_match(stored):
                 raise RequestError(
                     f"stored record for base key {base_key!r} failed "
-                    "revalidation (its recomputed key differs) — submit "
-                    "the full request once and retry the delta",
+                    "revalidation (its recomputed key differs, or its "
+                    "pattern is missing) — submit the full request once "
+                    "and retry the delta",
                     status=409,
                 )
             endpoint = stored.get("endpoint")

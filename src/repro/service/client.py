@@ -37,6 +37,7 @@ import time
 from ..obs.context import TRACE_HEADER, TraceContext
 from ..resilience.retry import BackoffPolicy, call_with_retries
 from ..spmv.csr import CSRMatrix
+from .protocol import wire_task
 
 
 class ServiceError(Exception):
@@ -74,14 +75,16 @@ def _retryable(exc: BaseException) -> bool:
 
 
 def matrix_payload(matrix: CSRMatrix) -> dict:
-    """The inline-CSR request form of a :class:`CSRMatrix`."""
+    """The inline-CSR request form of a :class:`CSRMatrix`.
+
+    Only the pattern is sent: no model endpoint reads ``values``.
+    """
     return {
         "csr": {
             "num_rows": matrix.num_rows,
             "num_cols": matrix.num_cols,
             "rowptr": matrix.rowptr.tolist(),
             "colidx": matrix.colidx.tolist(),
-            "values": matrix.values.tolist(),
         }
     }
 
@@ -344,7 +347,7 @@ class ServiceClient:
         """``POST /cache/peek`` — does this daemon hold the task's key in
         a cache tier?  (Replicas use this between themselves for peer
         warm-cache fill; exposed here for tests and operators.)"""
-        return self.request("POST", "/cache/peek", {"task": task})
+        return self.request("POST", "/cache/peek", {"task": wire_task(task)})
 
     def batch(self, endpoint: str, items: list, *, window: int | None = None,
               timeout: float | None = None, **shared):

@@ -12,24 +12,32 @@ or submitted *inline* as CSR or COO arrays::
     {"matrix": {"coo": {"num_rows": 4, "num_cols": 4,
                         "rows": [0, 1], "cols": [1, 2]}}}
 
-(``values`` is optional and defaults to ones — the model only reads the
-pattern).  An optional ``"setup"`` object carries the
+(``values`` is optional, checked and then dropped — the models only read
+the pattern).  An optional ``"setup"`` object carries the
 :class:`~repro.experiments.common.ExperimentSetup` fields (scale, thread
 count, iterations, prefetch distances, way options); endpoint-specific
 knobs ride at the top level.
 
 :func:`normalize_request` validates a payload and rewrites it into a
-*canonical task*: a plain-JSON dict with every default filled in, so that
-two requests asking for the same computation normalize to identical
-bytes.  :func:`request_key` hashes that canonical form — it is the key of
-the result cache and of in-flight coalescing.  The builder functions at
-the bottom (:func:`setup_from_task`, :func:`matrix_from_task`) run inside
-pool workers to reconstruct model inputs from a task.
+*canonical task*: a dict with every default filled in, so that two
+requests asking for the same computation normalize to identical keyed
+bytes.  An inline matrix is validated once, here, into a
+:class:`Pattern` — int64 ``rowptr``, int32 ``colidx`` and a sha256
+fingerprint — and COO is converted to CSR, so equal patterns share one
+form.  The task's ``"matrix"`` spec carries only the dimensions and the
+fingerprint; the arrays travel beside it under ``"arrays"`` (pickled to
+the pool worker, never hashed again, never put on the wire).
+:func:`request_key` hashes the canonical form minus the arrays — it is
+the key of the result cache and of in-flight coalescing.  The functions
+at the bottom (:func:`setup_from_task`, :func:`matrix_from_task`) run
+inside pool workers to reconstruct model inputs from a task.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,12 +92,162 @@ def _int_list(values: object, label: str) -> list[int]:
         raise RequestError(f"{label} must contain integers: {exc}") from None
 
 
-def _float_list(values: object, label: str) -> list[float]:
+# ----------------------------------------------------------------------
+# inline patterns
+# ----------------------------------------------------------------------
+
+#: Largest matrix dimension: column indices are int32 (the paper's CSR
+#: layout), so no column — and, for symmetry, no row — may lie beyond it.
+MAX_DIM = 2**31 - 1
+
+#: Rows a COO request may declare.  A CSR body pays for every row on the
+#: wire (one ``rowptr`` entry), a COO body pays nothing to declare them,
+#: yet conversion allocates 8 bytes of ``rowptr`` per row — so COO rows
+#: are capped near the most a 64 MiB CSR body could carry.
+MAX_COO_ROWS = 2**25
+
+#: Magic, rows, cols, nnz — the header of a pattern's fingerprinted bytes.
+_PATTERN_HEADER = struct.Struct("<8sqqq")
+_PATTERN_MAGIC = b"reprocsr"
+
+
+def _pattern_header(num_rows: int, num_cols: int, nnz: int) -> bytes:
+    return _PATTERN_HEADER.pack(_PATTERN_MAGIC, num_rows, num_cols, nnz)
+
+
+@dataclass(frozen=True, eq=False)
+class Pattern:
+    """A validated inline sparsity pattern and its content address.
+
+    ``fingerprint`` is the sha256 of :meth:`to_bytes`: a fixed header
+    (magic, rows, cols, nnz) followed by the little-endian int64
+    ``rowptr`` and int32 ``colidx`` bytes.  It names the pattern
+    everywhere downstream — request key, matrix name, delta base and the
+    registry's spill file — so the arrays are hashed once, at ingress.
+    """
+
+    num_rows: int
+    num_cols: int
+    rowptr: np.ndarray
+    colidx: np.ndarray
+    fingerprint: str
+
+    @classmethod
+    def build(cls, num_rows: int, num_cols: int, rowptr: np.ndarray,
+              colidx: np.ndarray) -> "Pattern":
+        """Fingerprint already-validated arrays (no copy when typed)."""
+        rowptr = np.ascontiguousarray(rowptr, dtype="<i8")
+        colidx = np.ascontiguousarray(colidx, dtype="<i4")
+        digest = hashlib.sha256(_pattern_header(num_rows, num_cols, colidx.size))
+        digest.update(rowptr)
+        digest.update(colidx)
+        return cls(num_rows, num_cols, rowptr, colidx, digest.hexdigest())
+
+    @property
+    def nnz(self) -> int:
+        return int(self.colidx.size)
+
+    def to_bytes(self) -> bytes:
+        """The fingerprinted bytes (the registry's spill format)."""
+        return (_pattern_header(self.num_rows, self.num_cols, self.nnz)
+                + self.rowptr.tobytes() + self.colidx.tobytes())
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "Pattern":
+        """Inverse of :meth:`to_bytes`, re-fingerprinting the arrays.
+
+        Raises ``ValueError`` when the bytes are not a pattern; the caller
+        compares the recomputed fingerprint with the one it expected.
+        """
+        if len(data) < _PATTERN_HEADER.size:
+            raise ValueError("truncated pattern header")
+        magic, num_rows, num_cols, nnz = _PATTERN_HEADER.unpack_from(data)
+        offset = _PATTERN_HEADER.size + 8 * (num_rows + 1)
+        if (magic != _PATTERN_MAGIC or min(num_rows, num_cols, nnz) < 0
+                or len(data) != offset + 4 * nnz):
+            raise ValueError("malformed pattern bytes")
+        rowptr = np.frombuffer(data, "<i8", num_rows + 1, _PATTERN_HEADER.size)
+        colidx = np.frombuffer(data, "<i4", nnz, offset)
+        return cls.build(num_rows, num_cols, rowptr, colidx)
+
+    def spec(self) -> dict:
+        """The keyed matrix spec: dimensions plus the fingerprint."""
+        return {"kind": "csr", "num_rows": self.num_rows,
+                "num_cols": self.num_cols, "nnz": self.nnz,
+                "pattern": self.fingerprint}
+
+    def matrix(self, name: str) -> CSRMatrix:
+        """The model input, wrapping the arrays without copying them."""
+        return CSRMatrix(self.num_rows, self.num_cols, self.rowptr,
+                         self.colidx, np.ones(self.nnz), name=name)
+
+
+def _dimension(value: object, label: str) -> int:
+    _require(type(value) is int and 0 <= value <= MAX_DIM,
+             f"{label} must be a non-negative integer of at most {MAX_DIM}")
+    return value
+
+
+def _index_array(values: object, label: str) -> np.ndarray:
+    """A JSON index list as int64, rejecting anything but plain integers
+    (a float would truncate, a bool would pass as 0/1)."""
     _require(isinstance(values, (list, tuple)), f"{label} must be a list")
+    _require(set(map(type, values)) <= {int}, f"{label} must contain integers")
     try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"{label} must contain numbers: {exc}") from None
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise RequestError(f"{label} entries must fit in 64 bits") from None
+
+
+def _in_range(indices: np.ndarray, bound: int, label: str) -> None:
+    _require(indices.size == 0 or (indices.min() >= 0 and indices.max() < bound),
+             f"{label} out of range [0, {bound})")
+
+
+def _check_values(payload: dict, count: int, label: str) -> None:
+    """``values`` is optional and unused, but must be well formed."""
+    values = payload.get("values")
+    if values is None:
+        return
+    _require(isinstance(values, (list, tuple)) and len(values) == count,
+             f"{label}.values must be a list of {count} numbers")
+    _require(set(map(type, values)) <= {int, float},
+             f"{label}.values must contain numbers")
+
+
+def _csr_pattern(csr: object) -> Pattern:
+    _require(isinstance(csr, dict), "'csr' must be an object")
+    num_rows = _dimension(csr.get("num_rows"), "csr.num_rows")
+    num_cols = _dimension(csr.get("num_cols"), "csr.num_cols")
+    rowptr = _index_array(csr.get("rowptr"), "csr.rowptr")
+    colidx = _index_array(csr.get("colidx"), "csr.colidx")
+    _require(rowptr.size == num_rows + 1,
+             f"csr.rowptr must have num_rows+1={num_rows + 1} entries")
+    _require(rowptr[0] == 0, "csr.rowptr[0] must be 0")
+    _require(bool(np.all(rowptr[1:] >= rowptr[:-1])),
+             "csr.rowptr must be non-decreasing")
+    _require(rowptr[-1] == colidx.size,
+             "csr.rowptr[-1] must equal the length of csr.colidx")
+    _in_range(colidx, num_cols, "csr.colidx")
+    _check_values(csr, colidx.size, "csr")
+    return Pattern.build(num_rows, num_cols, rowptr, colidx)
+
+
+def _coo_pattern(coo: object) -> Pattern:
+    _require(isinstance(coo, dict), "'coo' must be an object")
+    num_rows = _dimension(coo.get("num_rows"), "coo.num_rows")
+    _require(num_rows <= MAX_COO_ROWS,
+             f"coo.num_rows must be at most {MAX_COO_ROWS} (send CSR)")
+    num_cols = _dimension(coo.get("num_cols"), "coo.num_cols")
+    rows = _index_array(coo.get("rows"), "coo.rows")
+    cols = _index_array(coo.get("cols"), "coo.cols")
+    _require(rows.size == cols.size,
+             "coo.rows and coo.cols must have the same length")
+    _in_range(rows, num_rows, "coo.rows")
+    _in_range(cols, num_cols, "coo.cols")
+    _check_values(coo, rows.size, "coo")
+    csr = CSRMatrix.from_coo(num_rows, num_cols, rows, cols)
+    return Pattern.build(num_rows, num_cols, csr.rowptr, csr.colidx)
 
 
 @lru_cache(maxsize=8)
@@ -101,7 +259,8 @@ def _collection_names(size: str, scale: int) -> frozenset[str]:
     )
 
 
-def _normalize_matrix(payload: object, scale: int) -> dict:
+def _normalize_matrix(payload: object, scale: int) -> tuple[dict, Pattern | None]:
+    """The keyed matrix spec, plus the validated arrays when inline."""
     _require(isinstance(payload, dict), "request must carry a 'matrix' object")
     if "name" in payload:
         size = payload.get("collection", "small")
@@ -116,40 +275,14 @@ def _normalize_matrix(payload: object, scale: int) -> dict:
             f"matrix {name!r} not in the {size!r} collection",
             status=404,
         )
-        return {"kind": "named", "collection": size, "name": name}
+        return {"kind": "named", "collection": size, "name": name}, None
     if "csr" in payload:
-        csr = payload["csr"]
-        _require(isinstance(csr, dict), "'csr' must be an object")
-        task = {
-            "kind": "csr",
-            "num_rows": int(csr.get("num_rows", -1)),
-            "num_cols": int(csr.get("num_cols", -1)),
-            "rowptr": _int_list(csr.get("rowptr"), "csr.rowptr"),
-            "colidx": _int_list(csr.get("colidx"), "csr.colidx"),
-        }
-        if csr.get("values") is not None:
-            task["values"] = _float_list(csr["values"], "csr.values")
-        _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
-                 "csr.num_rows/num_cols must be non-negative integers")
-        return task
-    if "coo" in payload:
-        coo = payload["coo"]
-        _require(isinstance(coo, dict), "'coo' must be an object")
-        task = {
-            "kind": "coo",
-            "num_rows": int(coo.get("num_rows", -1)),
-            "num_cols": int(coo.get("num_cols", -1)),
-            "rows": _int_list(coo.get("rows"), "coo.rows"),
-            "cols": _int_list(coo.get("cols"), "coo.cols"),
-        }
-        if coo.get("values") is not None:
-            task["values"] = _float_list(coo["values"], "coo.values")
-        _require(task["num_rows"] >= 0 and task["num_cols"] >= 0,
-                 "coo.num_rows/num_cols must be non-negative integers")
-        _require(len(task["rows"]) == len(task["cols"]),
-                 "coo.rows and coo.cols must have the same length")
-        return task
-    raise RequestError("matrix must carry 'name', 'csr' or 'coo'")
+        pattern = _csr_pattern(payload["csr"])
+    elif "coo" in payload:
+        pattern = _coo_pattern(payload["coo"])
+    else:
+        raise RequestError("matrix must carry 'name', 'csr' or 'coo'")
+    return pattern.spec(), pattern
 
 
 def _normalize_setup(payload: object) -> dict:
@@ -181,17 +314,19 @@ def normalize_request(endpoint: str, payload: object) -> dict:
     """Validate a request payload into its canonical task form.
 
     Raises :class:`RequestError` (with an HTTP status) on anything
-    malformed.  The returned dict contains only plain JSON values and all
-    defaults filled in; equal computations yield byte-equal tasks.
+    malformed — an inline pattern is validated in full here, so no bad
+    index ever reaches the key, the registry or a pool slot.  The
+    returned dict holds plain JSON values with all defaults filled in,
+    plus the inline :class:`Pattern` under ``"arrays"``; equal
+    computations yield byte-equal keyed tasks.
     """
     _require(endpoint in ENDPOINTS, f"unknown endpoint {endpoint!r}", status=404)
     _require(isinstance(payload, dict), "request body must be a JSON object")
     setup = _normalize_setup(payload.get("setup"))
-    task: dict = {
-        "endpoint": endpoint,
-        "matrix": _normalize_matrix(payload.get("matrix"), setup["scale"]),
-        "setup": setup,
-    }
+    spec, pattern = _normalize_matrix(payload.get("matrix"), setup["scale"])
+    task: dict = {"endpoint": endpoint, "matrix": spec, "setup": setup}
+    if pattern is not None:
+        task["arrays"] = pattern
 
     if endpoint == "classify":
         task["way_options"] = _int_list(
@@ -419,8 +554,10 @@ def derive_delta_task(stored: dict, normalized: dict, delta_budget: int) -> dict
     extended) as a ``{"kind": "delta"}`` spec — so the inner endpoint,
     setup and endpoint knobs are inherited verbatim and the derived
     request key chains deterministically from the base content plus the
-    canonical batch.  Volatile flags never survive from the stored task;
-    the fresh request's own flags are applied instead.
+    canonical batch.  The spec keeps the small fingerprinted base spec;
+    the base arrays ride along under ``"arrays"``.  Volatile flags never
+    survive from the stored task; the fresh request's own flags are
+    applied instead.
     """
     task = {k: v for k, v in stored.items()
             if k not in ("timeout", "trace", "trace_context", "faults",
@@ -460,15 +597,39 @@ def request_key(task: dict) -> str:
     patch-work ceiling, injected into derived delta tasks) is excluded
     for the same reason as the ladder flags: in-budget and fallback
     evaluations answer identically byte for byte, so daemons configured
-    with different budgets must still share cache entries.
+    with different budgets must still share cache entries.  The inline
+    ``arrays`` are excluded because the spec already names them by
+    fingerprint: keying costs one small ``canonical_json``, whatever the
+    matrix size (``"v2"``; ``"v1"`` keys hashed the index lists).
     """
     excluded = ("timeout", "trace", "trace_context", "faults", "peer",
-                "delta_budget")
+                "delta_budget", "arrays")
     if task.get("endpoint") != "optimize":
         excluded += ("accuracy", "max_tier")
     keyed = {k: v for k, v in task.items() if k not in excluded}
-    digest = hashlib.sha256(canonical_json(["v1", keyed]).encode()).hexdigest()
+    digest = hashlib.sha256(canonical_json(["v2", keyed]).encode()).hexdigest()
     return digest[:32]
+
+
+def wire_task(task: dict) -> dict:
+    """A task as JSON for another daemon: inline arrays stay behind (the
+    receiver re-keys from the fingerprinted spec alone)."""
+    return {k: v for k, v in task.items() if k != "arrays"}
+
+
+def arrays_match(task: dict) -> bool:
+    """Whether an inline task carries the arrays its spec fingerprints.
+
+    Named tasks need no arrays.  A task read back from storage without
+    them (a corrupt spill, a record from an older key version) fails.
+    """
+    spec = task["matrix"]
+    if spec.get("kind") == "delta":
+        spec = spec["base"]
+    if spec.get("kind") == "named":
+        return True
+    arrays = task.get("arrays")
+    return isinstance(arrays, Pattern) and arrays.fingerprint == spec.get("pattern")
 
 
 # ----------------------------------------------------------------------
@@ -494,15 +655,15 @@ def matrix_name(task: dict) -> str:
 
     For named matrices this is the collection name, so service ``sweep``
     requests share on-disk records with ``python -m repro.experiments``
-    sweeps of the same setup.
+    sweeps of the same setup.  Inline names are the pattern fingerprint.
     """
     matrix = task["matrix"]
     if matrix["kind"] == "named":
         return matrix["name"]
+    if matrix["kind"] == "csr":
+        return f"inline-{matrix['pattern'][:12]}"
     digest = hashlib.sha256(canonical_json(matrix).encode()).hexdigest()[:12]
-    if matrix["kind"] == "delta":
-        return f"delta-{digest}"
-    return f"inline-{digest}"
+    return f"delta-{digest}"
 
 
 def matrix_from_task(task: dict) -> CSRMatrix:
@@ -516,8 +677,7 @@ def matrix_from_task(task: dict) -> CSRMatrix:
 
         from ..delta.delta import MatrixDelta
 
-        matrix = matrix_from_task({"matrix": spec["base"],
-                                   "setup": task.get("setup")})
+        matrix = matrix_from_task({**task, "matrix": spec["base"]})
         for batch in spec["batches"]:
             matrix = MatrixDelta.from_dict(batch).apply(matrix).matrix
         return dataclasses.replace(matrix, name=name)
@@ -527,24 +687,4 @@ def matrix_from_task(task: dict) -> CSRMatrix:
             if candidate.name == name:
                 return candidate.materialize()
         raise KeyError(f"matrix {name!r} not in the {spec['collection']!r} collection")
-    if spec["kind"] == "csr":
-        values = spec.get("values")
-        rowptr = np.asarray(spec["rowptr"], dtype=np.int64)
-        nnz = int(rowptr[-1]) if rowptr.size else 0
-        return CSRMatrix(
-            spec["num_rows"],
-            spec["num_cols"],
-            rowptr,
-            np.asarray(spec["colidx"], dtype=np.int32),
-            np.ones(nnz) if values is None else np.asarray(values, dtype=np.float64),
-            name=name,
-        )
-    return CSRMatrix.from_coo(
-        spec["num_rows"],
-        spec["num_cols"],
-        np.asarray(spec["rows"], dtype=np.int64),
-        np.asarray(spec["cols"], dtype=np.int64),
-        None if spec.get("values") is None
-        else np.asarray(spec["values"], dtype=np.float64),
-        name=name,
-    )
+    return task["arrays"].matrix(name)

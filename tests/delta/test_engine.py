@@ -14,6 +14,7 @@ import pytest
 from repro.delta import engine
 from repro.delta.delta import MatrixDelta
 from repro.matrices.generators import banded, random_uniform
+from repro.service.client import matrix_payload
 from repro.service.protocol import (
     derive_delta_task,
     normalize_delta,
@@ -34,16 +35,6 @@ def _cold_worker():
     engine._state_cache.clear()
 
 
-def csr_payload(matrix) -> dict:
-    return {"csr": {
-        "num_rows": matrix.num_rows,
-        "num_cols": matrix.num_cols,
-        "rowptr": matrix.rowptr.tolist(),
-        "colidx": matrix.colidx.tolist(),
-        "values": matrix.values.tolist(),
-    }}
-
-
 def band_edits(matrix, rows):
     """Band-local edits (short dirty windows: stays inside the budget)."""
     inserts, deletes = [], []
@@ -61,7 +52,7 @@ def delta_task(endpoint, batch, *, matrix=MATRIX, setup=SETUP, budget=None,
                flags=None, request=None):
     """Derive the canonical delta task the daemon would submit."""
     stored = normalize_request(endpoint,
-                               {"matrix": csr_payload(matrix),
+                               {"matrix": matrix_payload(matrix),
                                 "setup": setup, **(request or {})})
     body = {"base": request_key(stored), "delta": batch, **(flags or {})}
     return derive_delta_task(stored, normalize_delta(body),
@@ -71,7 +62,7 @@ def delta_task(endpoint, batch, *, matrix=MATRIX, setup=SETUP, budget=None,
 
 def full_result(endpoint, edited, *, setup=SETUP, request=None):
     """The from-scratch answer on the edited pattern (the oracle)."""
-    task = normalize_request(endpoint, {"matrix": csr_payload(edited),
+    task = normalize_request(endpoint, {"matrix": matrix_payload(edited),
                                         "setup": setup, **(request or {})})
     result, fidelity, meta = _dispatch(task)
     assert fidelity is None and meta is None
@@ -116,7 +107,7 @@ def test_repeat_and_chain_hit_the_warm_worker_state():
     # one more batch on top: the length-1 prefix state is the warm hit
     once = edited_matrix(batch1)
     batch2 = band_edits(once, [250, 500])
-    stored = normalize_request("advise", {"matrix": csr_payload(MATRIX),
+    stored = normalize_request("advise", {"matrix": matrix_payload(MATRIX),
                                           "setup": SETUP})
     chained = derive_delta_task(
         stored, normalize_delta({"base": request_key(stored),

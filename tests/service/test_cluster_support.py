@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ServiceClient, ServiceConfig, ServiceThread
+from repro.matrices import banded
+from repro.service import ServiceClient, ServiceConfig, ServiceThread, matrix_payload
 from repro.service.cache import QUARANTINE_SUFFIXES, gc_sweep
 from repro.service.protocol import normalize_request
 
@@ -79,6 +80,17 @@ def test_cache_peek_hits_only_after_a_real_request(client):
 
     counters = client.metrics()["cache_peek"]
     assert counters.get("hit") == 1 and counters.get("miss") == 1
+
+
+def test_cache_peek_keys_inline_tasks_from_the_fingerprint(client):
+    matrix = banded(300, 4, 3, seed=41)
+    task = normalize_request("advise", {"matrix": matrix_payload(matrix),
+                                        "setup": SETUP})
+    envelope = client.advise(matrix, **SETUP)
+    # the arrays stay behind: the peek re-keys from the spec alone
+    hit = client.cache_peek(task)
+    assert hit["found"] is True and hit["key"] == envelope["key"]
+    assert hit["result"] == envelope["result"]
 
 
 def test_cache_peek_rejects_malformed_tasks(client):

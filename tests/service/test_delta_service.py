@@ -87,6 +87,34 @@ def test_tampered_registry_record_is_409(server, client):
         registry._memory[key] = original
 
 
+def test_swapped_base_arrays_are_409(server, client):
+    base = client.advise(matrix=MATRIX, **SEQ)
+    key = base["key"]
+    registry = server.service.registry
+    original = registry._memory[key]
+    other = client.advise(matrix=banded(1_200, 8, 6, seed=3), **SEQ)
+    registry._memory[key] = dict(
+        original, arrays=registry._memory[other["key"]]["arrays"])
+    try:
+        ins, del_ = band_edits(MATRIX, [5])
+        exc = expect_error(
+            lambda: client.delta(key, inserts=ins, deletes=del_), 409)
+        assert "revalidation" in exc.error["message"]
+    finally:
+        registry._memory[key] = original
+
+
+def test_v1_disk_record_is_409(server, client):
+    # a record spilled before keys were pattern fingerprints ("v1")
+    key = "c1" * 16
+    (server.service.registry.cache_dir / f"{key}.task.json").write_text(
+        '{"endpoint":"advise","matrix":{"colidx":[0,1],"kind":"csr",'
+        '"num_cols":2,"num_rows":2,"rowptr":[0,1,2]},'
+        '"setup":{"num_threads":1}}')
+    exc = expect_error(lambda: client.delta(key, inserts=[[0, 1]]), 409)
+    assert "revalidation" in exc.error["message"]
+
+
 def test_bad_batches_are_400(client):
     base = client.advise(matrix=MATRIX, **SEQ)
     # inserting an edge that already exists: DeltaError out of the worker

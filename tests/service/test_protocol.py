@@ -7,6 +7,7 @@ from repro.matrices import banded
 from repro.matrices.collection import collection
 from repro.service.client import matrix_payload
 from repro.service.protocol import (
+    Pattern,
     RequestError,
     matrix_from_task,
     matrix_name,
@@ -73,6 +74,58 @@ def test_inline_coo_builds_matrix():
     assert rebuilt.num_rows == 3
 
 
+def test_coo_and_csr_of_one_pattern_share_a_key():
+    matrix = banded(64, 4, 3, seed=0)
+    rows, cols, _ = matrix.to_coo()
+    order = np.random.default_rng(0).permutation(matrix.nnz)
+    coo = {"coo": {"num_rows": 64, "num_cols": 64,
+                   "rows": rows[order].tolist(), "cols": cols[order].tolist()}}
+    a = normalize_request("advise", {"matrix": _inline(matrix)})
+    b = normalize_request("advise", {"matrix": coo})
+    assert a["matrix"] == b["matrix"]
+    assert request_key(a) == request_key(b)
+    assert matrix_name(a) == matrix_name(b)
+
+
+def test_inline_spec_carries_the_fingerprint_not_the_arrays():
+    matrix = banded(64, 4, 3, seed=0)
+    task = normalize_request("advise", {"matrix": _inline(matrix)})
+    spec = task["matrix"]
+    assert spec == {"kind": "csr", "num_rows": 64, "num_cols": 64,
+                    "nnz": matrix.nnz, "pattern": task["arrays"].fingerprint}
+    assert matrix_name(task) == f"inline-{spec['pattern'][:12]}"
+    # the key ignores the arrays: the fingerprint already names them
+    assert request_key({k: v for k, v in task.items() if k != "arrays"}) \
+        == request_key(task)
+    # values are checked and dropped: they never change the key
+    with_values = _inline(matrix)
+    with_values["csr"]["values"] = [2.0] * matrix.nnz
+    assert request_key(normalize_request("advise", {"matrix": with_values})) \
+        == request_key(task)
+
+
+def test_pattern_bytes_round_trip_and_refingerprint():
+    task = normalize_request("advise", {"matrix": _inline(banded(64, 4, 3, seed=0))})
+    pattern = task["arrays"]
+    data = pattern.to_bytes()
+    again = Pattern.from_bytes(data)
+    assert again.fingerprint == pattern.fingerprint
+    assert np.array_equal(again.rowptr, pattern.rowptr)
+    assert np.array_equal(again.colidx, pattern.colidx)
+    flipped = bytearray(data)
+    flipped[-1] ^= 1
+    assert Pattern.from_bytes(bytes(flipped)).fingerprint != pattern.fingerprint
+    with pytest.raises(ValueError):
+        Pattern.from_bytes(data[:-1])
+
+
+def test_inline_matrix_wraps_the_arrays_without_copying():
+    task = normalize_request("advise", {"matrix": _inline(banded(64, 4, 3, seed=0))})
+    matrix = matrix_from_task(task)
+    assert matrix.rowptr is task["arrays"].rowptr
+    assert matrix.colidx is task["arrays"].colidx
+
+
 def test_named_matrix_materializes_from_collection():
     spec = collection("tiny")[0]
     task = normalize_request("classify", {
@@ -81,6 +134,16 @@ def test_named_matrix_materializes_from_collection():
     assert matrix_name(task) == spec.name
     rebuilt = matrix_from_task(task)
     assert rebuilt.nnz == spec.materialize().nnz
+
+
+def _csr(rowptr, colidx, num_rows=2, num_cols=2, **extra):
+    return {"matrix": {"csr": {"num_rows": num_rows, "num_cols": num_cols,
+                               "rowptr": rowptr, "colidx": colidx, **extra}}}
+
+
+def _coo(rows, cols, num_rows=2, num_cols=2):
+    return {"matrix": {"coo": {"num_rows": num_rows, "num_cols": num_cols,
+                               "rows": rows, "cols": cols}}}
 
 
 @pytest.mark.parametrize("payload, fragment", [
@@ -95,6 +158,29 @@ def test_named_matrix_materializes_from_collection():
                          "cols": [0]}}, "setup": {"bogus": 1}}, "unknown setup"),
     ({"matrix": {"coo": {"num_rows": 2, "num_cols": 2, "rows": [0],
                          "cols": [0]}}, "timeout": -1}, "timeout"),
+    # the trust boundary: every index is checked here, at ingress
+    (_csr([0, 1, 2], [0, 2**31], num_cols=2**31 - 1), "csr.colidx out of range"),
+    (_csr([0, 1, 2], [0, 2**63]), "fit in 64 bits"),
+    (_csr([0, 1, 2], [0, -2**63 - 1]), "fit in 64 bits"),
+    (_csr([0, 1, 2], [0, 1.9]), "csr.colidx must contain integers"),
+    (_csr([0, 1.0, 2], [0, 1]), "csr.rowptr must contain integers"),
+    (_csr([0, 1, 2], [0, True]), "csr.colidx must contain integers"),
+    (_csr([0, 1, 2], [0, "1"]), "csr.colidx must contain integers"),
+    (_csr([0, 2, 1], [0, 1]), "non-decreasing"),
+    (_csr([1, 1, 2], [0, 1]), "rowptr[0]"),
+    (_csr([0, 1, 2], [0, 1, 1]), "rowptr[-1]"),
+    (_csr([0, 1], [0]), "num_rows+1"),
+    (_csr([0, 1, 2], [0, 2]), "csr.colidx out of range"),
+    (_csr([0, 1, 2], [0, -1]), "csr.colidx out of range"),
+    (_csr([0, 1, 2], [0, 1], values=[1.0]), "csr.values"),
+    (_csr([0, 1, 2], [0, 1], values=[1.0, "x"]), "csr.values"),
+    (_csr([0, 1, 2], [0, 1], num_cols=2**31), "csr.num_cols"),
+    (_csr([0, 1, 2], [0, 1], num_rows=2.0), "csr.num_rows"),
+    (_coo([0, 2], [0, 1]), "coo.rows out of range"),
+    (_coo([0, 1], [0, 5]), "coo.cols out of range"),
+    (_coo([0, False], [0, 1]), "coo.rows must contain integers"),
+    (_coo([0, 1], [0, 2**64]), "fit in 64 bits"),
+    (_coo([0], [0], num_rows=2**31 - 1), "coo.num_rows must be at most"),
 ])
 def test_malformed_requests_rejected(payload, fragment):
     with pytest.raises(RequestError) as err:

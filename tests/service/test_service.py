@@ -139,6 +139,33 @@ def test_worker_model_error_is_structured_400(client):
     assert "non-empty" in err.value.error["message"]
 
 
+@pytest.mark.parametrize("csr", [
+    # int32 overflow: used to reach the worker and answer 500
+    {"num_rows": 2, "num_cols": 2**31 - 1, "rowptr": [0, 1, 2],
+     "colidx": [0, 2**31]},
+    {"num_rows": 2, "num_cols": 2, "rowptr": [0, 2, 1], "colidx": [0, 1]},
+    {"num_rows": 2, "num_cols": 2, "rowptr": [0, 1, 2], "colidx": [0, 7]},
+], ids=["int32-overflow", "non-monotone-rowptr", "column-out-of-range"])
+def test_malformed_pattern_is_400_before_key_registry_or_pool(server, client,
+                                                              csr):
+    service = server.service
+    registered = len(service.registry._memory)
+    spilled = len(list(service.registry.cache_dir.glob("*.task.json")))
+    evaluations = dict(client.metrics()["evaluations"])
+    failures = service.breakers["advise"].failures
+    from repro.service.client import ServiceError
+
+    with pytest.raises(ServiceError) as err:
+        client.request("POST", "/advise", {"matrix": {"csr": csr},
+                                           "setup": SETUP})
+    assert err.value.status == 400
+    assert err.value.error["type"] == "RequestError"
+    assert len(service.registry._memory) == registered
+    assert len(list(service.registry.cache_dir.glob("*.task.json"))) == spilled
+    assert dict(client.metrics()["evaluations"]) == evaluations
+    assert service.breakers["advise"].failures == failures
+
+
 def test_unknown_endpoint_and_path(client):
     from repro.service.client import ServiceError
 
