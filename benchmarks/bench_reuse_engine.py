@@ -1,13 +1,15 @@
 """Reuse-distance engine throughput (the machinery behind Section 4.5.1).
 
 Compares the vectorized CDQ stack processing (the production path) against
-the Fenwick-tree sweep and the Kim et al. grouped stack on identical
-traces, reporting references per second.  ``bench_model_sweep`` covers the
-layer above: matrices/second of a 16-configuration model sweep, serial vs.
-``--jobs 4``, plus the warm per-policy query vs. the full-mask reference.
+the Fenwick-tree sweep on identical traces, reporting references per
+second.  ``bench_model_sweep`` covers the layer above: matrices/second of
+a 16-configuration model sweep, serial vs. ``--jobs 4``, plus the warm
+per-policy query vs. the full-mask reference.
 ``bench_periodic`` measures the single-period steady-state engine against
 the doubled-trace oracle (equality is asserted; timings and peak memory go
-to ``extra_info``).
+to ``extra_info``).  ``bench_sim_pass`` times the simulator's way-capped
+set-associative passes against uncapped ones on the tiny collection's
+largest matrix (hit-mask equality is asserted, in ``--check`` mode too).
 
 Run as a script for the JSON emitter / CI smoke mode::
 
@@ -25,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cachesim.hierarchy import SimConfig, SpMVCacheSim
 from repro.core import MethodA, MethodB
 from repro.obs import Tracer
 from repro.experiments import ExperimentSetup, run_collection, run_collection_parallel
@@ -35,7 +38,7 @@ from repro.matrices.collection import collection
 from repro.reuse import (
     reuse_distances,
     reuse_distances_fenwick,
-    reuse_distances_kim,
+    steady_state_reuse_distances,
 )
 from repro.spmv import listing1_policy
 from repro.spmv.sector_policy import no_sector_cache
@@ -56,15 +59,6 @@ def test_fenwick_throughput(benchmark):
     trace, groups = _trace(n=30_000)
     rd = benchmark.pedantic(
         lambda: reuse_distances_fenwick(trace, groups),
-        rounds=2, iterations=1, warmup_rounds=0,
-    )
-    assert rd.shape == trace.shape
-
-
-def test_kim_throughput(benchmark):
-    trace, groups = _trace(n=30_000)
-    rd = benchmark.pedantic(
-        lambda: reuse_distances_kim(trace, groups, group_size=64),
         rounds=2, iterations=1, warmup_rounds=0,
     )
     assert rd.shape == trace.shape
@@ -252,6 +246,90 @@ def test_bench_predict_query_vs_full_mask(benchmark):
     benchmark.extra_info["query_speedup"] = mask_seconds / query_seconds
 
 
+# -- bench_sim_pass: way-capped vs. uncapped set-associative passes ----
+
+#: the simulator setup of the collection sweep at 48 threads
+SIM_SETUP = ExperimentSetup(num_threads=48)
+
+
+def _largest_tiny_matrix():
+    specs = collection("tiny", machine=SIM_SETUP.machine())
+    matrices = [spec.materialize() for spec in specs]
+    return max(matrices, key=lambda m: m.nnz)
+
+
+def _sim_levels(sim):
+    """Every set-associative level of a periodic simulation, L2 per L1 split."""
+    levels = [sim._l1_warm_rd, sim._l1_rd]
+    levels += [sim._l2_level(w)[1] for w in range(sim.machine.l1.ways)]
+    return levels
+
+
+def _uncapped_distances(level, partitioned):
+    """The level's in-set distances from an uncapped pass."""
+    groups = level._groups(level.trace.lines, level.cache_ids, level.sectors, partitioned)
+    if level.first_trace is None:
+        return reuse_distances(level.trace.lines, groups)
+    return steady_state_reuse_distances(
+        level.trace.lines,
+        groups,
+        first_lines=level.first_trace.lines,
+        first_groups=level._groups(
+            level.first_trace.lines,
+            level.first_cache_ids,
+            level.first_sectors,
+            partitioned,
+        ),
+    )
+
+
+def _sim_pass_row(repeats=1):
+    """Capped vs. uncapped passes of every level: equal hit masks, timings.
+
+    Each level is copied fresh (empty distance cache) so both sides run
+    both groupings; the capped side is the simulator's own ``_rd``.
+    """
+    matrix = _largest_tiny_matrix()
+    sim = SpMVCacheSim(
+        matrix, SIM_SETUP.machine(), SimConfig(num_threads=SIM_SETUP.num_threads)
+    )
+    levels = _sim_levels(sim)
+    capped_best = uncapped_best = float("inf")
+    for _ in range(repeats):
+        capped = [dataclasses.replace(level) for level in levels]
+        t0 = time.perf_counter()
+        for level in capped:
+            level._rd(True)
+            level._rd(False)
+        capped_best = min(capped_best, time.perf_counter() - t0)
+        uncapped = [dataclasses.replace(level) for level in levels]
+        t0 = time.perf_counter()
+        for level in uncapped:
+            for key, partitioned in (("split", True), ("shared", False)):
+                level._cache[key] = _uncapped_distances(level, partitioned)
+        uncapped_best = min(uncapped_best, time.perf_counter() - t0)
+    for fast, exact in zip(capped, uncapped):
+        for ways in range(fast.geometry.ways):
+            assert np.array_equal(fast.hit_mask(ways), exact.hit_mask(ways)), (
+                f"capped pass diverged at {ways} sector-1 ways"
+            )
+    return {
+        "matrix": matrix.name,
+        "nnz": int(matrix.nnz),
+        "passes": 2 * len(levels),
+        "references": int(sum(2 * len(level.trace) for level in levels)),
+        "capped_seconds": capped_best,
+        "uncapped_seconds": uncapped_best,
+        "speedup": uncapped_best / capped_best,
+    }
+
+
+def test_bench_sim_pass_capped_vs_uncapped(benchmark):
+    """Way-capped simulator passes: equal hit masks, less time."""
+    row = benchmark.pedantic(_sim_pass_row, rounds=1, iterations=1, warmup_rounds=0)
+    benchmark.extra_info.update(row)
+
+
 # -- script mode: JSON emitter + CI smoke check --------------------------
 
 
@@ -309,6 +387,11 @@ def main(argv=None):
             f"OK: periodic engine matches the doubled-trace oracle on "
             f"{matrices} matrices (jobs={args.jobs})"
         )
+        row = _sim_pass_row()
+        print(
+            f"OK: way-capped simulator passes match the uncapped hit masks "
+            f"({row['passes']} passes on {row['matrix']})"
+        )
         if not args.json:
             return 0
 
@@ -324,6 +407,12 @@ def main(argv=None):
             f"({stats['oracle']['seconds']:.3f}s -> "
             f"{stats['periodic']['seconds']:.3f}s)"
         )
+    row = _sim_pass_row(repeats=args.repeats)
+    payload["sim_pass"] = row
+    print(
+        f"sim_pass ({row['matrix']}): {row['speedup']:.2f}x faster capped "
+        f"({row['uncapped_seconds']:.3f}s -> {row['capped_seconds']:.3f}s)"
+    )
     payload["peak_rss_bytes"] = peak_rss_bytes()
     if args.json:
         with open(args.json, "w") as fh:

@@ -17,7 +17,8 @@ real A64FX + PMU in the paper's evaluation.  Pipeline per configuration:
 In-set reuse distances are computed once per {partitioned, shared}
 grouping and reused for *every* way split, so sweeping the paper's sector
 configurations (Figs. 2-3) costs one thresholding per configuration, not
-one simulation.
+one simulation.  Each pass resolves in-set distances only up to the way
+count of its level, the most any way split can ask about.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ sector owns.  One reuse-distance pass therefore evaluates *every* way split
 of the sector cache at once, and any number of private caches or CMG
 segments simulate together through composite group keys.
 
+No sector owns more than the cache's ways, so a pass resolves in-set
+distances only up to the way count (``cap=ways``): it reports
+``min(RD, ways)``, decided by bounded window scans instead of a full
+dominance count, and every hit mask stays exact.
+
 True LRU stands in for the A64FX's undisclosed (pseudo-)LRU policy — the
 same approximation the paper makes for its model (Section 2.2); the
 sequential tree-PLRU simulator in :mod:`repro.cachesim.plru` quantifies the
@@ -47,7 +52,8 @@ class SetAssocRD:
 
     ``rd_split`` treats the two sectors as separate caches (partitioned
     mode); ``rd_shared`` lets all data compete for every way (sector cache
-    disabled).  Both are computed on demand and cached.
+    disabled).  Both are computed on demand and cached, capped at the way
+    count: distances of ``ways`` or more are all reported as ``ways``.
 
     When a ``first_trace`` (with matching ``first_sectors``/
     ``first_cache_ids``) is given, ``trace`` is interpreted as the steady
@@ -119,8 +125,11 @@ class SetAssocRD:
                 groups = self._groups(
                     self.trace.lines, self.cache_ids, self.sectors, partitioned
                 )
+                cap = self.geometry.ways  # no sector owns more ways
                 if self.first_trace is None:
-                    self._cache[key] = reuse_distances(self.trace.lines, groups)
+                    self._cache[key] = reuse_distances(
+                        self.trace.lines, groups, cap=cap
+                    )
                 else:
                     self._cache[key] = steady_state_reuse_distances(
                         self.trace.lines,
@@ -132,6 +141,7 @@ class SetAssocRD:
                             self.first_sectors,
                             partitioned,
                         ),
+                        cap=cap,
                     )
         return self._cache[key]
 

@@ -3,7 +3,6 @@
 from .cdq import hit_mask, miss_count, reuse_distances
 from .fenwick import FenwickTree, compute_prev, reuse_distances_fenwick
 from .histogram import ReuseProfile, partition_profiles, scale_distances
-from .kim import reuse_distances_kim
 from .naive import COLD, reuse_distances_naive
 from .periodic import steady_state_reuse_distances
 from .sampling import (
@@ -25,7 +24,6 @@ __all__ = [
     "miss_count",
     "reuse_distances",
     "reuse_distances_fenwick",
-    "reuse_distances_kim",
     "reuse_distances_naive",
     "sample_reuse_distances",
     "spatial_sample_mask",

@@ -44,14 +44,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdq import _dominance_counts
+from .cdq import (
+    _check_cap,
+    _dominance_counts,
+    _stable_group_order,
+    _window_distances,
+)
 from .fenwick import compute_prev
 from .naive import COLD
 
 
 def _group_sorted(lines: np.ndarray, groups: np.ndarray, span: int):
     """Stable group sort plus combined (group, line) keys."""
-    order = np.argsort(groups, kind="stable")
+    order = _stable_group_order(groups)
     g_sorted = groups[order]
     keys = g_sorted * np.int64(span) + lines[order]
     return order, g_sorted, keys
@@ -72,6 +77,7 @@ def steady_state_reuse_distances(
     groups: np.ndarray | None = None,
     first_lines: np.ndarray | None = None,
     first_groups: np.ndarray | None = None,
+    cap: int | None = None,
 ) -> np.ndarray:
     """Exact steady-state reuse distances of one period of a periodic trace.
 
@@ -88,6 +94,11 @@ def steady_state_reuse_distances(
         period (e.g. prefetcher warm-up ramps).  The modelled trace is
         ``[first, period, period, ...]``; by default the first period is the
         period itself.
+    cap:
+        Optional positive bound: finite distances are reported as
+        ``min(RD, cap)``.  In-period distances then come from the bounded
+        window scans of :func:`repro.reuse.cdq.reuse_distances`; the
+        wrap-around distances are computed as without a cap, then clipped.
 
     Returns
     -------
@@ -97,6 +108,7 @@ def steady_state_reuse_distances(
     half, without ever materializing the concatenation.  Lines absent from
     the first period are :data:`COLD`.
     """
+    cap = _check_cap(cap)
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     n = lines.shape[0]
     if n == 0:
@@ -138,7 +150,7 @@ def steady_state_reuse_distances(
         first_groups = None  # alias of groups; drop it so the del frees it
     del groups
     prev = compute_prev(keys)
-    rd = _dominance_counts(prev) - (prev + 1)
+    rd = _window_distances(prev, cap)
     is_first = prev < 0
 
     # last occurrence of each distinct (group, line) key in the first
@@ -204,7 +216,10 @@ def steady_state_reuse_distances(
         q_rank = np.empty(hit_pos.shape[0], dtype=np.int64)
         q_rank[np.argsort(q)] = ranks
         overlap = ranks - _dominance_counts(q_rank)
-        out_sorted[hit_pos] = rank_first[hit_pos] + suffix_lasts - overlap
+        wrapped = rank_first[hit_pos] + suffix_lasts - overlap
+        if cap is not None:
+            np.minimum(wrapped, cap, out=wrapped)
+        out_sorted[hit_pos] = wrapped
 
     out = np.empty(n, dtype=np.int64)
     out[order] = out_sorted

@@ -1,4 +1,4 @@
-"""Cross-validation of the four reuse-distance implementations."""
+"""Cross-validation of the exact reuse-distance implementations."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,12 @@ from repro.reuse import (
     COLD,
     reuse_distances,
     reuse_distances_fenwick,
-    reuse_distances_kim,
     reuse_distances_naive,
 )
 
 ALL_IMPLEMENTATIONS = [
     reuse_distances,
     reuse_distances_fenwick,
-    lambda t, g=None: reuse_distances_kim(t, g, group_size=1),
 ]
 
 
@@ -127,19 +125,3 @@ def test_cdq_exact_on_non_power_of_two_lengths(n):
     np.testing.assert_array_equal(
         reuse_distances(trace, groups), reuse_distances_naive(trace, groups)
     )
-
-
-def test_kim_bucketed_distances_bounded_error():
-    # with group_size g, the reported distance is exact to within g/2
-    rng = np.random.default_rng(0)
-    trace = rng.integers(0, 50, 2000)
-    exact = reuse_distances(trace)
-    approx = reuse_distances_kim(trace, group_size=8)
-    finite = exact < COLD
-    assert np.array_equal(finite, approx < COLD)
-    assert np.max(np.abs(exact[finite] - approx[finite])) <= 8
-
-
-def test_kim_rejects_bad_group_size():
-    with pytest.raises(ValueError):
-        reuse_distances_kim(np.array([1]), group_size=0)
