@@ -10,6 +10,9 @@ the doubled-trace oracle (equality is asserted; timings and peak memory go
 to ``extra_info``).  ``bench_sim_pass`` times the simulator's way-capped
 set-associative passes against uncapped ones on the tiny collection's
 largest matrix (hit-mask equality is asserted, in ``--check`` mode too).
+``bench_dominance`` times the merge dominance count under every exact
+pass; ``--check`` compares a grouped 50k-access pass with the Fenwick
+sweep.
 
 Run as a script for the JSON emitter / CI smoke mode::
 
@@ -36,10 +39,12 @@ from repro.machine import scaled_machine
 from repro.matrices import banded, random_uniform
 from repro.matrices.collection import collection
 from repro.reuse import (
+    compute_prev,
     reuse_distances,
     reuse_distances_fenwick,
     steady_state_reuse_distances,
 )
+from repro.reuse.cdq import _dominance_counts
 from repro.spmv import listing1_policy
 from repro.spmv.sector_policy import no_sector_cache
 
@@ -330,6 +335,44 @@ def test_bench_sim_pass_capped_vs_uncapped(benchmark):
     benchmark.extra_info.update(row)
 
 
+# -- bench_dominance: the merge count of every exact pass -----------------
+
+#: trace lengths of the dominance-count row: about one inline advise's x
+#: trace, and a larger one
+DOMINANCE_SIZES = (170_000, 700_000)
+
+
+def _check_against_fenwick(n=50_000):
+    """A grouped, uncapped pass equals the Fenwick sweep access for access."""
+    trace, groups = _trace(n=n, lines=5_000, groups=8, seed=1)
+    np.testing.assert_array_equal(
+        reuse_distances(trace, groups), reuse_distances_fenwick(trace, groups)
+    )
+    return n
+
+
+def _dominance_row(repeats=3):
+    """Best-of wall time and traced peak of the count on random traces."""
+    row = {}
+    for n in DOMINANCE_SIZES:
+        rng = np.random.default_rng(n)
+        prev = compute_prev(rng.integers(0, n // 4, n))
+        best = float("inf")
+        timer = Tracer()
+        for _ in range(repeats):
+            with timer.span("dominance") as sp:
+                _dominance_counts(prev)
+            best = min(best, sp.seconds)
+        with Tracer(memory="tracemalloc") as mem_tracer:
+            with mem_tracer.span("dominance") as mem_span:
+                _dominance_counts(prev)
+        row[str(n)] = {
+            "seconds": best,
+            "peak_traced_bytes": int(mem_span.mem_peak_bytes),
+        }
+    return row
+
+
 # -- script mode: JSON emitter + CI smoke check --------------------------
 
 
@@ -392,6 +435,8 @@ def main(argv=None):
             f"OK: way-capped simulator passes match the uncapped hit masks "
             f"({row['passes']} passes on {row['matrix']})"
         )
+        n = _check_against_fenwick()
+        print(f"OK: grouped exact pass matches the Fenwick sweep on {n} accesses")
         if not args.json:
             return 0
 
@@ -413,6 +458,12 @@ def main(argv=None):
         f"sim_pass ({row['matrix']}): {row['speedup']:.2f}x faster capped "
         f"({row['uncapped_seconds']:.3f}s -> {row['capped_seconds']:.3f}s)"
     )
+    payload["dominance_counts"] = _dominance_row(repeats=args.repeats)
+    for n, stats in payload["dominance_counts"].items():
+        print(
+            f"dominance count ({n} accesses): {stats['seconds']:.3f}s, "
+            f"{stats['peak_traced_bytes'] / (8 * int(n)):.2f} x 8n traced bytes"
+        )
     payload["peak_rss_bytes"] = peak_rss_bytes()
     if args.json:
         with open(args.json, "w") as fh:

@@ -19,14 +19,36 @@ Every ``j <= prev[i]`` satisfies ``prev[j] < j <= prev[i]`` trivially, so::
     RD(i) = #{ j < i : prev[j] <= prev[i] } - (prev[i] + 1)
 
 — a pure 2-D dominance count over the static point set ``(j, prev[j])``.
-It is evaluated bottom-up (CDQ divide and conquer): at block size ``b``,
-every pair of sibling blocks contributes, for each query ``i`` in the right
-block, the count of points ``j`` in the left block with
-``prev[j] <= prev[i]``.  Each ordered pair ``(j, i)`` is counted exactly
-once, at the level where the two first share a block.  All blocks of one
-level are processed in a single batched ``np.searchsorted`` by offsetting
-each block's values into disjoint key ranges, so the Python-level work is
-O(log n) with all inner loops in C: O(n log^2 n) total.
+
+Merge count
+-----------
+The count is evaluated bottom-up, as a merge sort whose merges count.
+Each access becomes one ``int64`` key with three bit fields::
+
+    key = (prev + 1) << (w + a)  |  position << a  |  count
+
+with ``w = n.bit_length()`` and ``a = min(w, 63 - 2w)``.  Key order is
+``(prev, position)``; since ``(prev, position)`` is unique, the count
+field in the low bits never changes the order.  For ``j < i``,
+``key_j < key_i`` holds exactly when ``prev[j] <= prev[i]``.
+
+At block size ``b`` every aligned row of ``2b`` keys holds two runs that
+the level below sorted.  One stable row sort merges them (timsort finds
+the two runs, so the merge is linear).  A key came from the right run iff
+bit ``b`` of its position is set, and its count at this level is the
+number of left-run keys before it in the merged row: its index in the row
+minus its rank among the right-run keys, which keep their order.  Those
+counts are added into the keys' count fields in place.  Each ordered pair
+``(j, i)`` is counted exactly once, at the level where the two first
+share a row, so after the top level one scatter by position reads the
+answers out of the count fields.  The trailing partial row of each level
+is merged as one more row; nothing is padded to a power of two.
+
+Every level is one batched row sort plus O(n) array work in C, and the
+Python-level work is O(log n): O(n log n) comparisons in all.  The levels
+``b <= 2**a - 1`` add at most ``2**a - 1`` to a key, so the count field
+never overflows.  From ``n >= 2**21`` on, ``a < w`` and the wider levels
+add their counts into the answer array directly, by position.
 
 Groups (cache partitions, cache sets, private caches, CMG segments) are
 handled by stable-sorting the trace by group first: each group's accesses
@@ -49,10 +71,12 @@ restricted to them, which bounds the worst case.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fenwick import compute_prev
+from .fenwick import compute_prev, stable_order
 from .naive import COLD
 
 #: backward steps the dense phase of a capped pass takes for every access
@@ -64,73 +88,82 @@ _SCAN_DEPTH = 1024
 _BLOCK_BUDGET = 1 << 16
 
 
-def _stable_group_order(groups: np.ndarray) -> np.ndarray:
-    """Stable argsort of non-negative group labels.
+def _key_widths(n: int) -> tuple[int, int]:
+    """Bit widths ``(w, a)`` of the position and count fields of a key.
 
-    Labels below ``2**16`` are sorted as ``uint16``, for which numpy's
-    stable sort is a radix sort; the permutation is the same either way.
+    ``w`` holds a position or ``prev + 1`` (both at most ``n``).  The count
+    field takes what the two leave of 63 bits, but never more than ``w``:
+    a count is at most ``n - 1``.
     """
-    if groups.shape[0] and int(groups.max()) < 2**16:
-        return np.argsort(groups.astype(np.uint16), kind="stable")
-    return np.argsort(groups, kind="stable")
+    w = n.bit_length()
+    a = min(w, 63 - 2 * w)
+    if a < 1:
+        raise ValueError(f"trace of length {n} too large for int64 keys")
+    return w, a
 
 
 def _dominance_counts(prev: np.ndarray) -> np.ndarray:
-    """For each i, count ``#{ j < i : prev[j] <= prev[i] }`` (CDQ bottom-up).
+    """For each i, count ``#{ j < i : prev[j] <= prev[i] }`` (merge count).
 
-    Blocks are truncated to the true trace length: the trailing partial
-    block of each level is processed exactly instead of padding the input
-    to the next power of two (which overshoots working memory by up to 2x
-    on the hot 4M+9nnz traces).  One scratch buffer holds the sorted left
-    halves and is reused across all levels.
+    ``prev`` holds values in ``[-1, n)``.  See the module docstring for the
+    key layout; peak working memory is 3.5 ``int64`` arrays of the trace's
+    length.
     """
     n = prev.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    offset = np.int64(n + 2)  # values span [-1, n-1]: disjoint per-block ranges
-    if (n // 2 + 1) * offset >= np.iinfo(np.int64).max // 2:
-        raise ValueError(f"trace of length {n} too large for int64 block keys")
-    ans = np.zeros(n, dtype=np.int64)
-    top = 1 << int(n - 1).bit_length() if n > 1 else 1
-    # scratch for the sorted+offset left halves: complete pairs use at most
-    # n/2 entries, and the top-level tail block can use up to top/2
-    scratch = np.empty(max(top // 2, 1), dtype=np.int64)
+    w, a = _key_widths(n)
+    pos_mask = (1 << w) - 1
+    acc_max = (1 << a) - 1
+    keys = np.add(prev, 1, dtype=np.int64)
+    keys <<= w + a
+    keys |= np.arange(n, dtype=np.int64) << a
+    # levels b <= acc_max add at most b each, acc_max in all: the count
+    # field never overflows, and wider levels add into `ans` directly
+    ans = np.zeros(n, dtype=np.int64) if a < w else None
+    ranks = np.arange(n // 2, dtype=np.int64)
     b = 1
-    while b < top:
+    while b < n:
         step = 2 * b
-        m = n // step  # complete (left, right) sibling pairs
+        m = n // step
+        full = m * step
+        # a remainder of <= b keys is one sorted run, merged at a higher level
+        end = n if n - full > b else full
         if m:
-            pairs = prev[: m * step].reshape(m, step)
-            left = scratch[: m * b].reshape(m, b)
-            np.copyto(left, pairs[:, :b])
-            left.sort(axis=1)
-            offsets = np.arange(m, dtype=np.int64)[:, None] * offset
-            left += offsets
-            flat_queries = (pairs[:, b:] + offsets).ravel()
-            counts = np.searchsorted(left.ravel(), flat_queries, side="right")
-            counts -= np.repeat(np.arange(m, dtype=np.int64) * b, b)
-            ans[: m * step].reshape(m, step)[:, b:] += counts.reshape(m, b)
-        tail = m * step
-        # trailing pair with a full left block and a partial right block;
-        # a remainder of <= b elements is a lone left block (queried at a
-        # higher level) and contributes nothing here
-        if n - tail > b:
-            tail_left = scratch[:b]
-            np.copyto(tail_left, prev[tail : tail + b])
-            tail_left.sort()
-            ans[tail + b : n] += np.searchsorted(
-                tail_left, prev[tail + b : n], side="right"
-            )
+            keys[:full].reshape(m, step).sort(axis=1, kind="stable")
+        if end > full:
+            keys[full:end].sort(kind="stable")
+        right = np.flatnonzero((keys[:end] & (b << a)) != 0)
+        # the k-th right key of row r sits at `right`; its rank j among all
+        # right keys is r * b + k, so its count right - (r * step + k) is
+        # right - j - (j & -b)
+        j = ranks[: right.shape[0]]
+        counts = right - j
+        counts -= j & -b
+        if b > acc_max:
+            ans[(keys[right] >> a) & pos_mask] += counts
+        else:
+            keys[right] += counts
+        del right, counts
         b = step
+    del ranks
+    pos = keys >> a
+    pos &= pos_mask
+    keys &= acc_max
+    if ans is None:
+        ans = np.empty(n, dtype=np.int64)
+        ans[pos] = keys
+    else:
+        ans[pos] += keys
     return ans
 
 
 def _subset_dominance_counts(prev: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """``#{ j < i : prev[j] <= prev[i] }`` for the sorted indices ``queries``.
 
-    The CDQ levels of :func:`_dominance_counts`, visiting only the sibling
-    pairs whose right block holds a query: each such pair's left block is
-    sorted and searched for that pair's queries alone.
+    Level by level, like :func:`_dominance_counts`, but visiting only the
+    sibling pairs whose right block holds a query: each such pair's left
+    block is sorted and searched for that pair's queries alone.
     """
     n = prev.shape[0]
     ans = np.zeros(queries.shape[0], dtype=np.int64)
@@ -248,12 +281,15 @@ def _window_distances(prev: np.ndarray, cap: int | None) -> np.ndarray:
 
 
 def _check_cap(cap: int | None) -> int | None:
-    """Validate an optional distance cap."""
+    """Validate an optional distance cap: a positive integer, not a bool."""
     if cap is None:
         return None
+    if isinstance(cap, (bool, np.bool_)):
+        raise TypeError(f"cap must be an integer, got {cap!r}")
+    cap = operator.index(cap)  # TypeError for floats and other non-integers
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    return int(cap)
+    return cap
 
 
 def reuse_distances(
@@ -298,7 +334,7 @@ def reuse_distances(
             raise ValueError("groups must have the same length as trace")
         if groups.min() < 0:
             raise ValueError("group labels must be non-negative")
-        order = _stable_group_order(groups)
+        order = stable_order(groups)
         span = int(trace.max()) + 1
         gmax = int(groups.max())
         if gmax and gmax > (2**62) // span:

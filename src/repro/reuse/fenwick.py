@@ -52,6 +52,30 @@ class FenwickTree:
         return self.prefix_sum(hi) - self.prefix_sum(lo)
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, by radix passes where it can.
+
+    Wider non-negative integer keys below ``2**48`` are ordered by least
+    significant digit first: one stable argsort of each 16-bit digit, for
+    which numpy runs a radix sort (as it already does for 8- and 16-bit
+    keys).  The permutation is the same as the plain stable argsort, which
+    every other input takes.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu" or keys.dtype.itemsize <= 2 or not keys.size:
+        return np.argsort(keys, kind="stable")
+    top = int(keys.max())
+    if int(keys.min()) < 0 or top >= 2**48:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def compute_prev(keys: np.ndarray) -> np.ndarray:
     """Previous-occurrence index of each element (-1 for first), vectorized.
 
@@ -64,7 +88,7 @@ def compute_prev(keys: np.ndarray) -> np.ndarray:
     prev = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return prev
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     sorted_keys = keys[order]
     same = sorted_keys[1:] == sorted_keys[:-1]
     prev[order[1:][same]] = order[:-1][same]

@@ -4,7 +4,7 @@ Iterative SpMV replays the same reference trace every sweep, so the paper's
 steady-state miss counts (Section 3.2) only need the reuse distances of one
 *warmed-up* iteration.  The reproduction originally obtained them by
 materializing two copies of the period (:func:`repro.core.trace.repeat_trace`)
-and running the O(n log^2 n) stack pass over both, then discarding the first
+and running the stack pass over both, then discarding the first
 half of the results.  This module computes the same distances exactly from a
 single period:
 
@@ -44,19 +44,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cdq import (
-    _check_cap,
-    _dominance_counts,
-    _stable_group_order,
-    _window_distances,
-)
-from .fenwick import compute_prev
+from .cdq import _check_cap, _dominance_counts, _window_distances
+from .fenwick import compute_prev, stable_order
 from .naive import COLD
 
 
 def _group_sorted(lines: np.ndarray, groups: np.ndarray, span: int):
     """Stable group sort plus combined (group, line) keys."""
-    order = _stable_group_order(groups)
+    order = stable_order(groups)
     g_sorted = groups[order]
     keys = g_sorted * np.int64(span) + lines[order]
     return order, g_sorted, keys
@@ -180,7 +175,7 @@ def steady_state_reuse_distances(
     # one entry per distinct key: key-sorted lookup table of last positions
     last_positions = np.flatnonzero(is_last_f)
     last_keys = fkeys[last_positions]
-    kord = np.argsort(last_keys, kind="stable")
+    kord = stable_order(last_keys)
     uniq_keys = last_keys[kord]
     last_pos = last_positions[kord]
     del last_positions, last_keys, kord

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.reuse import COLD, reuse_distances, steady_state_reuse_distances
 from repro.reuse import cdq
+from repro.reuse.fenwick import stable_order
 
 CAPS = [1, 2, 4, 16]
 
@@ -71,6 +72,19 @@ def test_rejects_non_positive_cap():
             reuse_distances(np.array([1, 1]), cap=cap)
         with pytest.raises(ValueError):
             steady_state_reuse_distances(np.array([1, 1]), cap=cap)
+
+
+def test_rejects_non_integer_cap():
+    # a float cap used to be truncated (2.9 reported distance 3 as 2) and
+    # a bool taken as 1
+    for cap in (2.9, 3.0, True, np.bool_(True), "4"):
+        with pytest.raises(TypeError):
+            reuse_distances(np.array([1, 2, 1]), cap=cap)
+        with pytest.raises(TypeError):
+            steady_state_reuse_distances(np.array([1, 2, 1]), cap=cap)
+    assert reuse_distances(np.array([1, 2, 1]), cap=np.int64(1)).tolist() == [
+        COLD, COLD, 1
+    ]
 
 
 def test_scan_distances_saturate_at_the_cap():
@@ -141,15 +155,15 @@ def test_cap_at_scan_depth_uses_the_full_count():
 
 
 def test_wide_group_labels_keep_the_stable_order():
-    # labels past 2**16 take the int64 sort; both orders are stable
+    # labels past 2**16 take more radix passes; both orders are stable
     lines, groups = random_trace(4, 2000, 50, 4)
     wide = groups * 2**20
     np.testing.assert_array_equal(
         reuse_distances(lines, wide), reuse_distances(lines, groups)
     )
     np.testing.assert_array_equal(
-        cdq._stable_group_order(groups), np.argsort(groups, kind="stable")
+        stable_order(groups), np.argsort(groups, kind="stable")
     )
     np.testing.assert_array_equal(
-        cdq._stable_group_order(wide), np.argsort(wide, kind="stable")
+        stable_order(wide), np.argsort(wide, kind="stable")
     )
